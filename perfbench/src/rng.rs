@@ -1,0 +1,29 @@
+//! The benchmark's seeded random source.
+
+/// SplitMix64: small, fast, and the same sequence on every platform.
+#[derive(Clone, Debug)]
+pub struct SplitMix(u64);
+
+impl SplitMix {
+    pub fn new(seed: u64) -> SplitMix {
+        SplitMix(seed ^ 0x5EED_BE4C_u64)
+    }
+
+    pub fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}

@@ -7,9 +7,9 @@
 //! behaviour must be a pure function of their inputs (`crates/sim`,
 //! `crates/core`, `crates/copygraph`, `crates/protocol`, plus the model
 //! checker and history oracle in `crates/analysis`) with the
-//! determinism rules, the storage MVCC read path (`mvcc.rs`,
-//! `snapshot.rs`, `store.rs`) with the lock-free-read rule RL011, and
-//! the long-running runtime crates
+//! determinism rules, the storage lock manager (`lock.rs`) and MVCC
+//! read path (`mvcc.rs`, `snapshot.rs`, `store.rs`, which also get the
+//! lock-free-read rule RL011), and the long-running runtime crates
 //! (`crates/runtime`, `crates/net`) with the panic-freedom rule — see
 //! [`repl_analysis::detlint`] for the path classification. Exits 1 if
 //! any error-severity finding is produced; warnings (stale
@@ -42,6 +42,7 @@ fn main() {
             "crates/protocol",
             "crates/analysis/src/mc",
             "crates/analysis/src/history.rs",
+            "crates/storage/src/lock.rs",
             "crates/storage/src/mvcc.rs",
             "crates/storage/src/snapshot.rs",
             "crates/storage/src/store.rs",

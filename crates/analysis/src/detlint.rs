@@ -59,6 +59,8 @@
 //! through a chain of intermediate calls (`m.lock().keys()`), on a
 //! continuation line of a builder-style chain, and in `for … in &name`
 //! loops. Comment-only lines are never flagged.
+//! Maps declared as `repl_types::IdMap` are not flagged: their hasher is
+//! fixed, so their iteration order repeats from run to run.
 //!
 //! RL008 skips `#[cfg(test)]` regions (tracked by brace depth): tests
 //! may unwrap freely, the site loop may not.

@@ -23,9 +23,7 @@
 //! Example 1.1 shows the indiscriminate protocol can fail — both are
 //! exercised in this workspace's test suites.
 
-use std::collections::HashMap;
-
-use repl_types::{GlobalTxnId, ItemId};
+use repl_types::{GlobalTxnId, IdMap, ItemId};
 
 /// A committed logical transaction as the checker sees it.
 #[derive(Clone, Debug)]
@@ -42,11 +40,12 @@ pub struct CommittedTxn {
 #[derive(Default, Debug)]
 pub struct History {
     txns: Vec<CommittedTxn>,
-    index_of: HashMap<GlobalTxnId, usize>,
-    /// item → writers in version order (version k+1 = writers[k]).
-    writers: HashMap<ItemId, Vec<GlobalTxnId>>,
+    index_of: IdMap<GlobalTxnId, usize>,
+    /// item → indices (into `txns`) of its writers in version order
+    /// (version k+1 = writers[k]).
+    writers: IdMap<ItemId, Vec<usize>>,
     /// (writer, item) → version sequence number (1-based; 0 = initial).
-    version_of: HashMap<(GlobalTxnId, ItemId), u64>,
+    version_of: IdMap<(GlobalTxnId, ItemId), u64>,
 }
 
 /// A serializability violation: a cycle in the serialization graph.
@@ -82,12 +81,13 @@ impl History {
         writes: Vec<ItemId>,
     ) {
         debug_assert!(!self.index_of.contains_key(&gid), "transaction {gid} committed twice");
+        let idx = self.txns.len();
         for &item in &writes {
             let list = self.writers.entry(item).or_default();
-            list.push(gid);
+            list.push(idx);
             self.version_of.insert((gid, item), list.len() as u64);
         }
-        self.index_of.insert(gid, self.txns.len());
+        self.index_of.insert(gid, idx);
         self.txns.push(CommittedTxn { gid, reads, writes });
     }
 
@@ -103,14 +103,15 @@ impl History {
 
     /// Total number of versions installed across all items.
     pub fn version_count(&self) -> usize {
-        // Order-insensitive sum. // replint: allow(hash-iter)
-        self.writers.values().map(Vec::len).sum()
+        self.version_of.len()
     }
 
     /// Build the serialization graph and search for a cycle.
     ///
     /// Returns `Ok(())` when the history is (one-copy) serializable, and a
-    /// witness cycle otherwise.
+    /// witness cycle otherwise. Edges are built in record order and the
+    /// search starts from the earliest transaction, so the same history
+    /// yields the same witness on every run.
     pub fn check_serializability(&self) -> Result<(), SerializationCycle> {
         let n = self.txns.len();
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -120,16 +121,15 @@ impl History {
             }
         };
 
-        // ww edges. Per-item edge sets are independent, so the graph (and
-        // the cycle verdict) does not depend on the iteration order.
-        // replint: allow(hash-iter)
-        for writers in self.writers.values() {
-            for w in writers.windows(2) {
-                push_edge(self.index_of[&w[0]], self.index_of[&w[1]], &mut adj);
+        for (idx, txn) in self.txns.iter().enumerate() {
+            // ww: the previous writer of each item this one wrote.
+            for item in &txn.writes {
+                let version = self.version_of[&(txn.gid, *item)] as usize;
+                if version > 1 {
+                    push_edge(self.writers[item][version - 2], idx, &mut adj);
+                }
             }
-        }
-        // wr and rw edges.
-        for (reader_idx, txn) in self.txns.iter().enumerate() {
+            // wr and rw edges.
             for &(item, writer) in &txn.reads {
                 let version = match writer {
                     Some(w) => {
@@ -141,19 +141,15 @@ impl History {
                                 .index_of
                                 .get(&w)
                                 .unwrap_or_else(|| panic!("read from unrecorded writer {w}"));
-                            push_edge(widx, reader_idx, &mut adj);
+                            push_edge(widx, idx, &mut adj);
                         }
                         self.version_of[&(w, item)]
                     }
                     None => 0,
                 };
                 // rw: the reader precedes the writer of the next version.
-                if let Some(writers) = self.writers.get(&item) {
-                    if let Some(next) = writers.get(version as usize) {
-                        if *next != txn.gid {
-                            push_edge(reader_idx, self.index_of[next], &mut adj);
-                        }
-                    }
+                if let Some(&next) = self.writers.get(&item).and_then(|w| w.get(version as usize)) {
+                    push_edge(idx, next, &mut adj);
                 }
             }
         }
@@ -296,6 +292,27 @@ mod tests {
         h.record_commit(t2, vec![], vec![i(0)]);
         h.record_commit(t3, vec![(i(0), Some(t1))], vec![]);
         assert!(h.check_serializability().is_ok());
+    }
+
+    #[test]
+    fn witness_repeats_across_fresh_histories() {
+        // T0 writes x1..x8; each Tk then reads xk's initial version and
+        // overwrites xk: ww T0 → Tk and rw Tk → T0, eight 2-cycles
+        // through T0. The witness must not depend on map order: it is the
+        // cycle through T0's first recorded successor, every time.
+        let build = || {
+            let mut h = History::new();
+            h.record_commit(gid(0, 0), vec![], (1..=8).map(i).collect());
+            for k in 1..=8u32 {
+                h.record_commit(gid(k, 1), vec![(i(k), None)], vec![i(k)]);
+            }
+            h.check_serializability().unwrap_err()
+        };
+        let first = build();
+        assert_eq!(first.cycle, vec![gid(0, 0), gid(1, 1)]);
+        for _ in 0..20 {
+            assert_eq!(build(), first);
+        }
     }
 
     #[test]

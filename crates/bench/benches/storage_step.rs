@@ -1,6 +1,7 @@
 //! Criterion microbenches for the storage engine's transaction step:
 //! 2PL locked reads vs lock-free MVCC snapshot reads, read-write mixes,
-//! and the group-commit pipeline at batch sizes 1/8/64.
+//! the live placement's 4-op transactions on a 10 000-item store, and the
+//! group-commit pipeline at batch sizes 1/8/64.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use repl_storage::{CommitPipeline, Store, WriteAheadLog};
@@ -8,13 +9,27 @@ use repl_types::{GlobalTxnId, ItemId, SiteId, Value};
 
 const ITEMS: u32 = 200;
 const OPS: u32 = 8;
+/// Items in the live placement (Example 1.1 scaled up).
+const LIVE_ITEMS: u32 = 10_000;
+/// Operations per live transaction.
+const LIVE_OPS: u32 = 4;
 
 fn store() -> Store {
+    store_of(ITEMS)
+}
+
+fn store_of(items: u32) -> Store {
     let mut s = Store::new();
-    for i in 0..ITEMS {
+    for i in 0..items {
         s.create_item(ItemId(i), Value::Initial);
     }
     s
+}
+
+/// The `k`-th item of live transaction `seq`: spread over the whole
+/// store, a different set each transaction.
+fn live_item(seq: u64, k: u32) -> ItemId {
+    ItemId(((seq * 4 + k as u64) * 2_654_435_761 % LIVE_ITEMS as u64) as u32)
 }
 
 fn gid(seq: u64) -> GlobalTxnId {
@@ -105,6 +120,34 @@ fn bench_read_mvcc_versioned(c: &mut Criterion) {
     }
 }
 
+/// The live workloads' transactions on a 10 000-item store: 4 writes
+/// and a commit (an update at s0, or a replica apply), and 4 reads and a
+/// commit (a read-only transaction under 2PL).
+fn bench_live_shape(c: &mut Criterion) {
+    let mut s = store_of(LIVE_ITEMS);
+    let mut seq = 0u64;
+    c.bench_function("storage_step/live_4writes_commit", |b| {
+        b.iter(|| {
+            seq += 1;
+            let t = s.begin();
+            for k in 0..LIVE_OPS {
+                s.write(t, live_item(seq, k), Value::int(seq as i64), gid(seq)).unwrap();
+            }
+            s.commit(t).unwrap()
+        })
+    });
+    c.bench_function("storage_step/live_4reads_commit", |b| {
+        b.iter(|| {
+            seq += 1;
+            let t = s.begin();
+            for k in 0..LIVE_OPS {
+                s.read(t, live_item(seq, k)).unwrap();
+            }
+            s.commit(t).unwrap()
+        })
+    });
+}
+
 /// The group-commit pipeline: 64 commits through batch sizes 1/8/64,
 /// measuring the enqueue + flush path into the WAL.
 fn bench_commit_pipeline(c: &mut Criterion) {
@@ -132,6 +175,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_read_2pl, bench_read_mvcc, bench_mixed_2pl, bench_read_mvcc_versioned,
-        bench_commit_pipeline
+        bench_live_shape, bench_commit_pipeline
 }
 criterion_main!(benches);

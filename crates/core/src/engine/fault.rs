@@ -125,7 +125,7 @@ impl Engine {
         }
 
         // Proxies held *here* for remote transactions are volatile.
-        // Sorted drain: HashMap iteration order must never shape a run.
+        // Sorted drain: map iteration order must never shape a run.
         {
             let st = &mut self.sites[site.index()];
             let mut gids: Vec<GlobalTxnId> = st.proxies.keys().copied().collect();

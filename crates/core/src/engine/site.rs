@@ -5,12 +5,12 @@
 //! driver-side state the simulator owns — storage transactions, CPU
 //! accounting, threads, lock waits and crash/recovery bookkeeping.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use repl_protocol::{Payload, SiteMachine};
 use repl_sim::{CpuQueue, SimTime};
 use repl_storage::{SnapshotId, Store, TxnId};
-use repl_types::{GlobalTxnId, ItemId, Op, SiteId};
+use repl_types::{GlobalTxnId, IdMap, ItemId, Op, SiteId};
 
 use super::event::Message;
 
@@ -209,7 +209,7 @@ pub struct SiteState {
     /// Worker threads.
     pub threads: Vec<ThreadState>,
     /// Owner map for local storage transactions.
-    pub owner: HashMap<TxnId, Owner>,
+    pub owner: IdMap<TxnId, Owner>,
     /// The sans-I/O propagation state machine for this site. `None` for
     /// PSL/Eager, which do not propagate lazily.
     pub machine: Option<SiteMachine>,
@@ -226,14 +226,14 @@ pub struct SiteState {
     pub next_arrival: u64,
     /// DAG(T): last time anything was sent to each copy-graph child
     /// (drives dummy generation, §3.3).
-    pub last_sent: HashMap<SiteId, SimTime>,
+    pub last_sent: IdMap<SiteId, SimTime>,
     /// Per-attempt counter feeding [`GlobalTxnId`]s.
     pub next_seq: u64,
     /// PSL/Eager proxies keyed by remote transaction.
-    pub proxies: HashMap<GlobalTxnId, ProxyState>,
+    pub proxies: IdMap<GlobalTxnId, ProxyState>,
     /// BackEdge: executing or prepared backedge/special subtransactions
     /// keyed by transaction.
-    pub backedge_txns: HashMap<GlobalTxnId, BackedgeRun>,
+    pub backedge_txns: IdMap<GlobalTxnId, BackedgeRun>,
     /// False while the site is crashed (fault plan); its event stream is
     /// parked and deliveries are buffered into `backlog`.
     pub up: bool,
@@ -273,16 +273,16 @@ impl SiteState {
                 .into_iter()
                 .map(|p| ThreadState { programs: p, next_txn: 0, active: None })
                 .collect(),
-            owner: HashMap::new(),
+            owner: IdMap::default(),
             machine: None,
             appliers: Vec::new(),
             applier_gen: 0,
             sec_wait_seq: 0,
             next_arrival: 0,
-            last_sent: HashMap::new(),
+            last_sent: IdMap::default(),
             next_seq: 0,
-            proxies: HashMap::new(),
-            backedge_txns: HashMap::new(),
+            proxies: IdMap::default(),
+            backedge_txns: IdMap::default(),
             up: true,
             backlog: Vec::new(),
             wal_len: 0,

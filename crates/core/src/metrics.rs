@@ -1,10 +1,8 @@
 //! Run metrics matching §5.3: throughput, abort rate, response time and
 //! update-propagation delay.
 
-use std::collections::HashMap;
-
 use repl_sim::{SimDuration, SimTime};
-use repl_types::{GlobalTxnId, SiteId};
+use repl_types::{GlobalTxnId, IdMap, SiteId};
 use serde::{Deserialize, Serialize};
 
 #[derive(Debug)]
@@ -22,7 +20,7 @@ pub struct Metrics {
     aborts: u64,
     response_total_us: u64,
     response_count: u64,
-    pending: HashMap<GlobalTxnId, PendingPropagation>,
+    pending: IdMap<GlobalTxnId, PendingPropagation>,
     prop_total_us: u64,
     prop_count: u64,
     prop_max_us: u64,
@@ -44,7 +42,7 @@ impl Metrics {
             aborts: 0,
             response_total_us: 0,
             response_count: 0,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             prop_total_us: 0,
             prop_count: 0,
             prop_max_us: 0,
@@ -213,7 +211,7 @@ impl Metrics {
 }
 
 /// The numbers a finished run reports — one row of a figure series.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSummary {
     /// Committed primary subtransactions.
     pub commits: u64,

@@ -156,34 +156,50 @@ fn naive_lazy_completes_and_converges_even_if_unserializable() {
     assert_converged(&engine, &p);
 }
 
+/// Naive lazy propagation on the 3-site Example 1.1 placement with a
+/// write-heavy mix, which maximizes the race window.
+fn example_1_1_naive(seed: u64) -> repl_core::RunReport {
+    let p = scenario::example_1_1_placement();
+    let mut params = quick(ProtocolKind::NaiveLazy);
+    params.txns_per_thread = 40;
+    params.threads_per_site = 3;
+    let programs = scenario::generate_programs(
+        &p,
+        &WorkloadMix { ops_per_txn: 4, read_txn_prob: 0.3, read_op_prob: 0.4 },
+        params.threads_per_site,
+        params.txns_per_thread,
+        seed,
+    );
+    let mut engine = Engine::new(&p, &params, programs).unwrap();
+    let report = engine.run();
+    assert!(!report.stalled);
+    report
+}
+
+/// The first seed below 40 on which [`example_1_1_naive`] is not
+/// serializable.
+fn first_example_1_1_anomaly() -> Option<(u64, repl_core::RunReport)> {
+    (0..40).map(|seed| (seed, example_1_1_naive(seed))).find(|(_, r)| !r.serializable)
+}
+
 #[test]
 fn naive_lazy_produces_example_1_1_anomaly() {
-    // Hunt across seeds for the Figure 1 anomaly on the 3-site placement;
-    // write-heavy mix maximizes the race window. The serializable
+    // Hunt across seeds for the Figure 1 anomaly. The serializable
     // protocols must never exhibit it (checked exhaustively elsewhere);
     // the naive protocol should within a few seeds.
-    let p = scenario::example_1_1_placement();
-    let mut found = false;
-    for seed in 0..40 {
-        let mut params = quick(ProtocolKind::NaiveLazy);
-        params.txns_per_thread = 40;
-        params.threads_per_site = 3;
-        let programs = scenario::generate_programs(
-            &p,
-            &WorkloadMix { ops_per_txn: 4, read_txn_prob: 0.3, read_op_prob: 0.4 },
-            params.threads_per_site,
-            params.txns_per_thread,
-            seed,
-        );
-        let mut engine = Engine::new(&p, &params, programs).unwrap();
-        let report = engine.run();
-        assert!(!report.stalled);
-        if !report.serializable {
-            found = true;
-            break;
-        }
-    }
-    assert!(found, "indiscriminate lazy propagation never violated serializability in 40 seeds");
+    assert!(
+        first_example_1_1_anomaly().is_some(),
+        "indiscriminate lazy propagation never violated serializability in 40 seeds"
+    );
+}
+
+#[test]
+fn example_1_1_witness_repeats_across_runs() {
+    // The 1SR checker reports the same witness cycle for the same run.
+    let (seed, first) = first_example_1_1_anomaly().expect("an anomaly within 40 seeds");
+    let witness = first.cycle.expect("an unserializable run carries a witness");
+    let again = example_1_1_naive(seed);
+    assert_eq!(again.cycle.as_ref(), Some(&witness), "seed {seed}");
 }
 
 #[test]

@@ -162,6 +162,11 @@ impl<V> HashIndex<V> {
         self.slots.iter().filter_map(|s| s.as_ref().map(|slot| (slot.key, &slot.value)))
     }
 
+    /// Iterate over the values mutably, in the same order as [`Self::iter`].
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.slots.iter_mut().filter_map(|s| s.as_mut().map(|slot| &mut slot.value))
+    }
+
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());

@@ -39,7 +39,7 @@ pub mod wal;
 
 pub use commit_pipeline::{CommitBatch, CommitPipeline, PipelineStats};
 pub use lock::{LockManager, LockMode, LockOutcome};
-pub use mvcc::{Version, VersionChain, VersionChains};
+pub use mvcc::{Version, VersionChain};
 pub use snapshot::{SnapshotId, SnapshotManager};
 pub use store::{CommitInfo, ReadResult, Store, TxnStatus};
 pub use wal::{checkpoint, recover, Checkpoint, LogRecord, WriteAheadLog};

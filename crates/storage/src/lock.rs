@@ -28,10 +28,11 @@
 //! sequentially, a transaction waits on at most one item at a time; the
 //! waits-for graph construction relies on this.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 use repl_types::trace::{self, TraceEvent};
-use repl_types::{ItemId, TxnId};
+use repl_types::{IdMap, ItemId, TxnId};
 
 /// Lock mode: shared (reads) or exclusive (writes).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,19 +82,89 @@ impl LockState {
             LockMode::Exclusive => self.holders.iter().all(|(t, _)| *t == requester),
         }
     }
+
+    fn is_idle(&self) -> bool {
+        self.holders.is_empty() && self.queue.is_empty()
+    }
+
+    /// Grant as many queued requests on `item` as the FIFO-prefix policy
+    /// allows, appending the transactions granted to `granted`.
+    fn grant_queued(
+        &mut self,
+        item: ItemId,
+        txns: &mut IdMap<TxnId, TxnLocks>,
+        waiting_on: &mut IdMap<TxnId, ItemId>,
+        scope: u64,
+        granted: &mut Vec<TxnId>,
+    ) {
+        while let Some(front) = self.queue.front() {
+            let txn = front.txn;
+            let granted_mode;
+            if front.upgrade {
+                // Upgrade grantable only when the upgrader is the sole
+                // remaining holder.
+                if self.holders.len() == 1 && self.holders[0].0 == txn {
+                    self.holders[0].1 = LockMode::Exclusive;
+                    granted_mode = LockMode::Exclusive;
+                } else {
+                    break;
+                }
+            } else if self.compatible(front.mode, txn) {
+                let mode = front.mode;
+                self.holders.push((txn, mode));
+                txns.get_mut(&txn).expect("a queued requester is registered").held.push(item);
+                granted_mode = mode;
+            } else {
+                break;
+            }
+            self.queue.pop_front();
+            waiting_on.remove(&txn);
+            trace_acquire(scope, txn, item, granted_mode);
+            granted.push(txn);
+        }
+    }
+}
+
+/// What the manager knows about one transaction.
+#[derive(Debug)]
+struct TxnLocks {
+    /// Arrival ordinal for victim selection (latest arrival = victim).
+    arrival: u64,
+    /// Items on which the transaction currently holds a lock.
+    held: Vec<ItemId>,
+}
+
+fn trace_acquire(scope: u64, txn: TxnId, item: ItemId, mode: LockMode) {
+    if trace::is_enabled() {
+        trace::record(TraceEvent::LockAcquire {
+            scope,
+            item,
+            txn,
+            exclusive: mode == LockMode::Exclusive,
+        });
+    }
 }
 
 /// The per-site lock manager.
+///
+/// Every map is keyed by an id and hashed with the deterministic
+/// [`repl_types::IdHasher`]. Lock states and held-item lists that fall
+/// idle are kept, emptied but with their capacity, and reused, so an
+/// uncontended grant and release allocate nothing once the site has
+/// warmed up.
 #[derive(Debug)]
 pub struct LockManager {
-    table: HashMap<ItemId, LockState>,
-    /// Items on which each transaction currently holds a lock.
-    held: HashMap<TxnId, Vec<ItemId>>,
+    table: IdMap<ItemId, LockState>,
+    /// Arrival ordinal and held items of every transaction that has made
+    /// a request (or had its arrival set) and not yet released.
+    txns: IdMap<TxnId, TxnLocks>,
     /// The single item each blocked transaction is waiting on.
-    waiting_on: HashMap<TxnId, ItemId>,
-    /// Arrival ordinals for victim selection (latest arrival = victim).
-    arrival: HashMap<TxnId, u64>,
+    waiting_on: IdMap<TxnId, ItemId>,
     next_arrival: u64,
+    /// Idle lock states, ready for reuse.
+    spare_states: Vec<LockState>,
+    /// Emptied held-item lists, ready for reuse.
+    spare_held: Vec<Vec<ItemId>>,
     /// Identity of this lock manager in happens-before traces.
     trace_scope: u64,
 }
@@ -101,11 +172,12 @@ pub struct LockManager {
 impl Default for LockManager {
     fn default() -> Self {
         LockManager {
-            table: HashMap::new(),
-            held: HashMap::new(),
-            waiting_on: HashMap::new(),
-            arrival: HashMap::new(),
+            table: IdMap::default(),
+            txns: IdMap::default(),
+            waiting_on: IdMap::default(),
             next_arrival: 0,
+            spare_states: Vec::new(),
+            spare_held: Vec::new(),
             trace_scope: trace::next_scope_id(),
         }
     }
@@ -123,37 +195,24 @@ impl LockManager {
         self.trace_scope
     }
 
-    fn trace_acquire(&self, txn: TxnId, item: ItemId, mode: LockMode) {
-        if trace::is_enabled() {
-            trace::record(TraceEvent::LockAcquire {
-                scope: self.trace_scope,
-                item,
-                txn,
-                exclusive: mode == LockMode::Exclusive,
-            });
-        }
-    }
-
     /// Register (or re-register) the arrival ordinal of `txn` explicitly.
     ///
     /// Used by the engine to keep a resubmitted secondary subtransaction's
     /// original arrival so the latest-arrival victim policy is fair to it.
     pub fn set_arrival(&mut self, txn: TxnId, ordinal: u64) {
-        self.arrival.insert(txn, ordinal);
+        match self.txns.entry(txn) {
+            Entry::Occupied(e) => e.into_mut().arrival = ordinal,
+            Entry::Vacant(e) => {
+                let held = self.spare_held.pop().unwrap_or_default();
+                e.insert(TxnLocks { arrival: ordinal, held });
+            }
+        }
         self.next_arrival = self.next_arrival.max(ordinal + 1);
     }
 
     /// The arrival ordinal assigned to `txn`, if any.
     pub fn arrival_of(&self, txn: TxnId) -> Option<u64> {
-        self.arrival.get(&txn).copied()
-    }
-
-    fn note_arrival(&mut self, txn: TxnId) {
-        if !self.arrival.contains_key(&txn) {
-            let ord = self.next_arrival;
-            self.next_arrival += 1;
-            self.arrival.insert(txn, ord);
-        }
+        self.txns.get(&txn).map(|l| l.arrival)
     }
 
     /// Does `txn` hold a lock on `item` at least as strong as `mode`?
@@ -180,7 +239,7 @@ impl LockManager {
 
     /// Items currently locked by `txn`.
     pub fn held_items(&self, txn: TxnId) -> &[ItemId] {
-        self.held.get(&txn).map(Vec::as_slice).unwrap_or(&[])
+        self.txns.get(&txn).map(|l| l.held.as_slice()).unwrap_or(&[])
     }
 
     /// Number of transactions currently blocked.
@@ -193,12 +252,19 @@ impl LockManager {
     /// Re-entrant: requesting a mode already covered by a held lock is an
     /// immediate grant; requesting X while holding S is an upgrade.
     pub fn request(&mut self, txn: TxnId, item: ItemId, mode: LockMode) -> LockOutcome {
-        self.note_arrival(txn);
+        let (next_arrival, spare_held) = (&mut self.next_arrival, &mut self.spare_held);
+        let locks = self.txns.entry(txn).or_insert_with(|| {
+            let arrival = *next_arrival;
+            *next_arrival += 1;
+            TxnLocks { arrival, held: spare_held.pop().unwrap_or_default() }
+        });
         debug_assert!(
             !self.waiting_on.contains_key(&txn),
             "transaction {txn:?} issued a lock request while already blocked"
         );
-        let state = self.table.entry(item).or_default();
+        let spare_states = &mut self.spare_states;
+        let state =
+            self.table.entry(item).or_insert_with(|| spare_states.pop().unwrap_or_default());
         match state.holder_mode(txn) {
             Some(LockMode::Exclusive) => LockOutcome::Granted,
             Some(LockMode::Shared) if mode == LockMode::Shared => LockOutcome::Granted,
@@ -208,7 +274,7 @@ impl LockManager {
                 // behind earlier upgrades.
                 if state.holders.len() == 1 {
                     state.holders[0].1 = LockMode::Exclusive;
-                    self.trace_acquire(txn, item, LockMode::Exclusive);
+                    trace_acquire(self.trace_scope, txn, item, LockMode::Exclusive);
                     LockOutcome::Granted
                 } else {
                     let pos = state.queue.iter().take_while(|r| r.upgrade).count();
@@ -222,8 +288,8 @@ impl LockManager {
             None => {
                 if state.queue.is_empty() && state.compatible(mode, txn) {
                     state.holders.push((txn, mode));
-                    self.held.entry(txn).or_default().push(item);
-                    self.trace_acquire(txn, item, mode);
+                    locks.held.push(item);
+                    trace_acquire(self.trace_scope, txn, item, mode);
                     LockOutcome::Granted
                 } else {
                     state.queue.push_back(Request { txn, mode, upgrade: false });
@@ -234,49 +300,24 @@ impl LockManager {
         }
     }
 
-    /// Grant as many queued requests on `item` as the FIFO-prefix policy
-    /// allows, returning the transactions whose requests were granted.
-    fn pump(&mut self, item: ItemId) -> Vec<TxnId> {
-        let mut granted = Vec::new();
-        let Some(state) = self.table.get_mut(&item) else {
-            return granted;
+    /// Apply `edit` to the lock state of `item`, grant the queued
+    /// requests it let through (appended to `granted`), and recycle the
+    /// state once nothing holds or waits for the item.
+    fn settle(
+        &mut self,
+        item: ItemId,
+        granted: &mut Vec<TxnId>,
+        edit: impl FnOnce(&mut LockState),
+    ) {
+        let Entry::Occupied(mut entry) = self.table.entry(item) else {
+            return;
         };
-        while let Some(front) = state.queue.front() {
-            let txn = front.txn;
-            let granted_mode;
-            if front.upgrade {
-                // Upgrade grantable only when the upgrader is the sole
-                // remaining holder.
-                if state.holders.len() == 1 && state.holders[0].0 == txn {
-                    state.holders[0].1 = LockMode::Exclusive;
-                    granted_mode = LockMode::Exclusive;
-                } else {
-                    break;
-                }
-            } else if state.compatible(front.mode, txn) {
-                let mode = front.mode;
-                state.holders.push((txn, mode));
-                self.held.entry(txn).or_default().push(item);
-                granted_mode = mode;
-            } else {
-                break;
-            }
-            state.queue.pop_front();
-            self.waiting_on.remove(&txn);
-            if trace::is_enabled() {
-                trace::record(TraceEvent::LockAcquire {
-                    scope: self.trace_scope,
-                    item,
-                    txn,
-                    exclusive: granted_mode == LockMode::Exclusive,
-                });
-            }
-            granted.push(txn);
+        let state = entry.get_mut();
+        edit(state);
+        state.grant_queued(item, &mut self.txns, &mut self.waiting_on, self.trace_scope, granted);
+        if state.is_idle() {
+            self.spare_states.push(entry.remove());
         }
-        if state.holders.is_empty() && state.queue.is_empty() {
-            self.table.remove(&item);
-        }
-        granted
     }
 
     /// Release every lock held by `txn` (strict 2PL: called exactly once,
@@ -288,16 +329,18 @@ impl LockManager {
         // (e.g. removing a queued X lets queued S requests through);
         // those grants must be reported too or the wakeup is lost.
         let mut granted = self.cancel_wait(txn);
-        self.arrival.remove(&txn);
-        let items = self.held.remove(&txn).unwrap_or_default();
-        for item in items {
-            if let Some(state) = self.table.get_mut(&item) {
-                state.holders.retain(|(t, _)| *t != txn);
-            }
+        let Some(TxnLocks { mut held, .. }) = self.txns.remove(&txn) else {
+            return granted;
+        };
+        for &item in &held {
             if trace::is_enabled() {
                 trace::record(TraceEvent::LockRelease { scope: self.trace_scope, item, txn });
             }
-            granted.extend(self.pump(item));
+            self.settle(item, &mut granted, |s| s.holders.retain(|(t, _)| *t != txn));
+        }
+        if held.capacity() > 0 {
+            held.clear();
+            self.spare_held.push(held);
         }
         granted
     }
@@ -306,13 +349,11 @@ impl LockManager {
     /// aborted by timeout). Returns transactions unblocked as a side effect
     /// — removing a queued X request can let later S requests through.
     pub fn cancel_wait(&mut self, txn: TxnId) -> Vec<TxnId> {
-        let Some(item) = self.waiting_on.remove(&txn) else {
-            return Vec::new();
-        };
-        if let Some(state) = self.table.get_mut(&item) {
-            state.queue.retain(|r| r.txn != txn);
+        let mut granted = Vec::new();
+        if let Some(item) = self.waiting_on.remove(&txn) {
+            self.settle(item, &mut granted, |s| s.queue.retain(|r| r.txn != txn));
         }
-        self.pump(item)
+        granted
     }
 
     /// Build the waits-for graph and search it for a cycle.
@@ -321,68 +362,59 @@ impl LockManager {
     /// it wants and (b) every request queued ahead of it — (b) is exact,
     /// not conservative, because grants are strictly FIFO-prefix. Returns
     /// the transactions forming one cycle, or `None`.
+    ///
+    /// The search starts from the waiters in ascending [`TxnId`] order, so
+    /// the same lock state yields the same cycle (and victim) on every run.
     pub fn find_deadlock(&self) -> Option<Vec<TxnId>> {
-        let mut edges: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
-        for (&waiter, &item) in &self.waiting_on {
-            let Some(state) = self.table.get(&item) else { continue };
-            let mut blockers = Vec::new();
-            for (holder, _) in &state.holders {
-                if *holder != waiter {
-                    blockers.push(*holder);
-                }
-            }
-            for r in &state.queue {
-                if r.txn == waiter {
-                    break;
-                }
-                blockers.push(r.txn);
-            }
-            edges.insert(waiter, blockers);
-        }
+        let mut waiters: Vec<(TxnId, ItemId)> =
+            self.waiting_on.iter().map(|(&t, &i)| (t, i)).collect();
+        waiters.sort_unstable();
+        let node_of = |t: TxnId| waiters.binary_search_by_key(&t, |&(w, _)| w).ok();
+        // Edges between waiters only: a cycle must consist entirely of
+        // blocked transactions.
+        let edges: Vec<Vec<usize>> = waiters
+            .iter()
+            .map(|&(waiter, item)| {
+                let Some(state) = self.table.get(&item) else { return Vec::new() };
+                let holders = state.holders.iter().map(|&(t, _)| t).filter(|&t| t != waiter);
+                let ahead = state.queue.iter().map(|r| r.txn).take_while(|&t| t != waiter);
+                holders.chain(ahead).filter_map(node_of).collect()
+            })
+            .collect();
 
-        // Iterative DFS over blocked transactions only (a cycle must consist
-        // entirely of blocked transactions).
+        // Iterative DFS; the stack holds the grey path with each node's
+        // next edge index.
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
             Grey,
             Black,
         }
-        let mut color: HashMap<TxnId, Color> = HashMap::new();
-        for &start in edges.keys() {
-            if *color.get(&start).unwrap_or(&Color::White) != Color::White {
+        let mut color = vec![Color::White; waiters.len()];
+        for start in 0..waiters.len() {
+            if color[start] != Color::White {
                 continue;
             }
-            // stack of (node, next-edge-index); path tracks the grey chain.
             let mut stack = vec![(start, 0usize)];
-            let mut path = vec![start];
-            color.insert(start, Color::Grey);
+            color[start] = Color::Grey;
             while let Some(&mut (node, ref mut edge_idx)) = stack.last_mut() {
-                let succs = edges.get(&node).map(Vec::as_slice).unwrap_or(&[]);
-                if *edge_idx < succs.len() {
-                    let next = succs[*edge_idx];
+                if let Some(&next) = edges[node].get(*edge_idx) {
                     *edge_idx += 1;
-                    // Only blocked transactions can be part of a cycle.
-                    if !edges.contains_key(&next) {
-                        continue;
-                    }
-                    match color.get(&next).copied().unwrap_or(Color::White) {
+                    match color[next] {
                         Color::Grey => {
                             // Found a cycle: slice the grey path from next.
-                            let pos = path.iter().position(|&t| t == next).unwrap();
-                            return Some(path[pos..].to_vec());
+                            let pos = stack.iter().position(|&(n, _)| n == next)?;
+                            return Some(stack[pos..].iter().map(|&(n, _)| waiters[n].0).collect());
                         }
                         Color::White => {
-                            color.insert(next, Color::Grey);
+                            color[next] = Color::Grey;
                             stack.push((next, 0));
-                            path.push(next);
                         }
                         Color::Black => {}
                     }
                 } else {
-                    color.insert(node, Color::Black);
+                    color[node] = Color::Black;
                     stack.pop();
-                    path.pop();
                 }
             }
         }
@@ -394,7 +426,7 @@ impl LockManager {
     pub fn pick_victim(&self, cycle: &[TxnId]) -> TxnId {
         *cycle
             .iter()
-            .max_by_key(|t| self.arrival.get(t).copied().unwrap_or(u64::MAX))
+            .max_by_key(|t| self.arrival_of(**t).unwrap_or(u64::MAX))
             .expect("cycle is non-empty")
     }
 }
@@ -563,6 +595,46 @@ mod tests {
         lm.request(t(11), i(1), LockMode::Exclusive);
         let cycle = lm.find_deadlock().unwrap();
         assert_eq!(lm.pick_victim(&cycle), t(11));
+    }
+
+    #[test]
+    fn deadlock_search_repeats_across_managers() {
+        // Three disjoint 2-cycles: (T1,T2), (T3,T4), (T5,T6). Every fresh
+        // manager fed the same requests must report the same cycle, the
+        // one through the lowest waiting id, and so the same victim.
+        let build = || {
+            let mut lm = LockManager::new();
+            for pair in 0..3u64 {
+                let (a, b) = (t(2 * pair + 1), t(2 * pair + 2));
+                let (x, y) = (i(2 * pair as u32), i(2 * pair as u32 + 1));
+                lm.request(a, x, LockMode::Exclusive);
+                lm.request(b, y, LockMode::Exclusive);
+                assert_eq!(lm.request(a, y, LockMode::Exclusive), LockOutcome::Queued);
+                assert_eq!(lm.request(b, x, LockMode::Exclusive), LockOutcome::Queued);
+            }
+            let cycle = lm.find_deadlock().expect("three deadlocks");
+            let victim = lm.pick_victim(&cycle);
+            (cycle, victim)
+        };
+        let first = build();
+        assert_eq!(first, (vec![t(1), t(2)], t(2)));
+        for _ in 0..50 {
+            assert_eq!(build(), first);
+        }
+    }
+
+    #[test]
+    fn idle_lock_state_is_recycled() {
+        let mut lm = LockManager::new();
+        lm.request(t(1), i(1), LockMode::Exclusive);
+        lm.release_all(t(1));
+        assert!(lm.table.is_empty() && lm.txns.is_empty());
+        assert_eq!((lm.spare_states.len(), lm.spare_held.len()), (1, 1));
+        // The next uncontended transaction reuses both.
+        lm.request(t(2), i(7), LockMode::Shared);
+        assert_eq!((lm.spare_states.len(), lm.spare_held.len()), (0, 0));
+        assert_eq!(lm.held_items(t(2)), &[i(7)]);
+        assert_eq!(lm.holders_of(i(7)), vec![t(2)]);
     }
 
     #[test]

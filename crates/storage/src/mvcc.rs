@@ -9,22 +9,21 @@
 //! they begin. No locks, no blocking, no aborts on the read path.
 //!
 //! This module owns the version storage: one [`VersionChain`] per item,
-//! ordered by commit timestamp. The policy layer — which timestamp a
+//! ordered by commit timestamp. Each chain lives in its item's cell in
+//! the store's hash index, so a commit reaches the chain through the
+//! same probe that finds the cell. The policy layer — which timestamp a
 //! snapshot gets, when chains are garbage-collected — lives in
 //! [`crate::snapshot::SnapshotManager`]; the integration (stamping
 //! committed write sets, the lock-free `read_snapshot` entry point) in
 //! [`crate::Store`].
 //!
-//! Chains are kept in a `BTreeMap` so garbage collection visits items in
-//! a deterministic order (the simulator's results must be a pure
-//! function of the seed; replint RL004 forbids hash-order iteration).
+//! While no snapshot is open a chain holds exactly one version, and a
+//! commit overwrites it in place rather than appending and trimming.
 //!
 //! The snapshot read path must never touch the lock manager; replint
 //! RL011 rejects any `LockManager` mention in this file.
 
-use std::collections::BTreeMap;
-
-use repl_types::{GlobalTxnId, ItemId, Value};
+use repl_types::{GlobalTxnId, Value};
 
 /// One committed version of an item.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,90 +73,41 @@ impl VersionChain {
         self.versions.is_empty()
     }
 
-    fn push(&mut self, v: Version) {
+    /// A chain holding only the initial, pre-transactional version
+    /// (timestamp 0).
+    pub fn seeded(value: Value, writer: Option<GlobalTxnId>) -> Self {
+        VersionChain { versions: vec![Version { commit_ts: 0, value, writer }] }
+    }
+
+    /// Install a committed version. With `trim` (no snapshot open) the
+    /// chain keeps only this version: the single version it holds is
+    /// overwritten in place.
+    pub(crate) fn install(&mut self, v: Version, trim: bool) {
         debug_assert!(
             self.versions.last().map(|last| last.commit_ts < v.commit_ts).unwrap_or(true),
             "version timestamps must be strictly increasing"
         );
-        self.versions.push(v);
+        match self.versions.as_mut_slice() {
+            [only] if trim => *only = v,
+            _ => {
+                if trim {
+                    self.versions.clear();
+                }
+                self.versions.push(v);
+            }
+        }
     }
 
     /// Drop every version older than the newest one with
     /// `commit_ts <= low_water`: no snapshot at or above `low_water` can
     /// ever read them. Returns how many versions were dropped.
-    fn gc_below(&mut self, low_water: u64) -> usize {
+    pub(crate) fn gc_below(&mut self, low_water: u64) -> usize {
         let keep_from = self.versions.partition_point(|v| v.commit_ts <= low_water);
         let drop_n = keep_from.saturating_sub(1);
         if drop_n > 0 {
             self.versions.drain(..drop_n);
         }
         drop_n
-    }
-}
-
-/// All version chains of one site's store.
-#[derive(Clone, Debug, Default)]
-pub struct VersionChains {
-    chains: BTreeMap<ItemId, VersionChain>,
-}
-
-impl VersionChains {
-    /// Empty chain set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seed `item` with its initial version at timestamp 0 (paired with
-    /// `Store::create_item` during database population).
-    pub fn seed(&mut self, item: ItemId, value: Value, writer: Option<GlobalTxnId>) {
-        let chain = self.chains.entry(item).or_default();
-        chain.versions.clear();
-        chain.push(Version { commit_ts: 0, value, writer });
-    }
-
-    /// Install a committed version of `item` at `commit_ts`.
-    pub fn install(
-        &mut self,
-        item: ItemId,
-        commit_ts: u64,
-        value: Value,
-        writer: Option<GlobalTxnId>,
-    ) {
-        self.chains.entry(item).or_default().push(Version { commit_ts, value, writer });
-    }
-
-    /// The version of `item` visible at snapshot timestamp `ts`.
-    pub fn visible_at(&self, item: ItemId, ts: u64) -> Option<&Version> {
-        self.chains.get(&item).and_then(|c| c.visible_at(ts))
-    }
-
-    /// The chain of `item`, if the item is known.
-    pub fn chain(&self, item: ItemId) -> Option<&VersionChain> {
-        self.chains.get(&item)
-    }
-
-    /// Garbage-collect every chain against `low_water` (the smallest
-    /// timestamp any active snapshot might read at). Returns the total
-    /// number of versions reclaimed.
-    pub fn gc_below(&mut self, low_water: u64) -> usize {
-        self.chains.values_mut().map(|c| c.gc_below(low_water)).sum()
-    }
-
-    /// Trim one item's chain to its newest version only — the fast path
-    /// taken at commit time while no snapshot is active, so chains stay
-    /// O(1) for workloads that never use MVCC reads.
-    pub fn trim_to_latest(&mut self, item: ItemId) {
-        if let Some(chain) = self.chains.get_mut(&item) {
-            if chain.versions.len() > 1 {
-                let last = chain.versions.len() - 1;
-                chain.versions.drain(..last);
-            }
-        }
-    }
-
-    /// Total number of versions retained across all chains.
-    pub fn total_versions(&self) -> usize {
-        self.chains.values().map(|c| c.len()).sum()
     }
 }
 
@@ -170,70 +120,59 @@ mod tests {
         GlobalTxnId::new(SiteId(0), n)
     }
 
-    fn chains_with_history() -> VersionChains {
-        let mut c = VersionChains::new();
-        c.seed(ItemId(0), Value::Initial, None);
-        c.install(ItemId(0), 3, Value::int(30), Some(gid(3)));
-        c.install(ItemId(0), 7, Value::int(70), Some(gid(7)));
-        c.install(ItemId(0), 9, Value::int(90), Some(gid(9)));
+    fn chain_with_history() -> VersionChain {
+        let mut c = VersionChain::seeded(Value::Initial, None);
+        c.install(Version { commit_ts: 3, value: Value::int(30), writer: Some(gid(3)) }, false);
+        c.install(Version { commit_ts: 7, value: Value::int(70), writer: Some(gid(7)) }, false);
+        c.install(Version { commit_ts: 9, value: Value::int(90), writer: Some(gid(9)) }, false);
         c
     }
 
     #[test]
     fn visibility_picks_newest_at_or_below() {
-        let c = chains_with_history();
-        assert_eq!(c.visible_at(ItemId(0), 0).unwrap().value, Value::Initial);
-        assert_eq!(c.visible_at(ItemId(0), 2).unwrap().value, Value::Initial);
-        assert_eq!(c.visible_at(ItemId(0), 3).unwrap().value, Value::int(30));
-        assert_eq!(c.visible_at(ItemId(0), 8).unwrap().value, Value::int(70));
-        assert_eq!(c.visible_at(ItemId(0), 100).unwrap().value, Value::int(90));
-        assert_eq!(c.visible_at(ItemId(0), 8).unwrap().writer, Some(gid(7)));
-    }
-
-    #[test]
-    fn unknown_item_has_no_version() {
-        let c = chains_with_history();
-        assert!(c.visible_at(ItemId(9), 100).is_none());
+        let c = chain_with_history();
+        assert_eq!(c.visible_at(0).unwrap().value, Value::Initial);
+        assert_eq!(c.visible_at(2).unwrap().value, Value::Initial);
+        assert_eq!(c.visible_at(3).unwrap().value, Value::int(30));
+        assert_eq!(c.visible_at(8).unwrap().value, Value::int(70));
+        assert_eq!(c.visible_at(100).unwrap().value, Value::int(90));
+        assert_eq!(c.visible_at(8).unwrap().writer, Some(gid(7)));
+        assert_eq!(c.latest().unwrap().commit_ts, 9);
     }
 
     #[test]
     fn gc_keeps_the_low_water_version() {
-        let mut c = chains_with_history();
+        let mut c = chain_with_history();
         // A snapshot at ts 7 still needs the ts-7 version, but nothing
         // older.
         let dropped = c.gc_below(7);
         assert_eq!(dropped, 2); // ts 0 and ts 3 go
-        assert_eq!(c.chain(ItemId(0)).unwrap().len(), 2);
-        assert_eq!(c.visible_at(ItemId(0), 7).unwrap().value, Value::int(70));
-        assert_eq!(c.visible_at(ItemId(0), 9).unwrap().value, Value::int(90));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.visible_at(7).unwrap().value, Value::int(70));
+        assert_eq!(c.visible_at(9).unwrap().value, Value::int(90));
     }
 
     #[test]
     fn gc_between_versions_keeps_the_covering_one() {
-        let mut c = chains_with_history();
+        let mut c = chain_with_history();
         // Low water 5: a snapshot at 5 reads the ts-3 version, so ts 3
         // must survive even though 3 < 5.
         let dropped = c.gc_below(5);
         assert_eq!(dropped, 1); // only ts 0 goes
-        assert_eq!(c.visible_at(ItemId(0), 5).unwrap().value, Value::int(30));
+        assert_eq!(c.visible_at(5).unwrap().value, Value::int(30));
     }
 
     #[test]
-    fn trim_to_latest_leaves_one_version() {
-        let mut c = chains_with_history();
-        c.trim_to_latest(ItemId(0));
-        assert_eq!(c.chain(ItemId(0)).unwrap().len(), 1);
-        assert_eq!(c.visible_at(ItemId(0), u64::MAX).unwrap().value, Value::int(90));
+    fn trimmed_install_leaves_one_version() {
+        let mut c = chain_with_history();
+        c.install(Version { commit_ts: 11, value: Value::int(110), writer: Some(gid(11)) }, true);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.visible_at(u64::MAX).unwrap().value, Value::int(110));
         // Below the surviving version nothing is visible.
-        assert!(c.visible_at(ItemId(0), 0).is_none());
-    }
-
-    #[test]
-    fn total_versions_counts_across_chains() {
-        let mut c = chains_with_history();
-        c.seed(ItemId(1), Value::Initial, None);
-        assert_eq!(c.total_versions(), 5);
-        c.gc_below(u64::MAX);
-        assert_eq!(c.total_versions(), 2);
+        assert!(c.visible_at(0).is_none());
+        // A single version is overwritten in place.
+        c.install(Version { commit_ts: 12, value: Value::int(120), writer: Some(gid(12)) }, true);
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.latest().unwrap().writer, Some(gid(12)));
     }
 }

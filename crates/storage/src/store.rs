@@ -14,14 +14,12 @@
 //! * commit returns the transaction's read and write sets (the write set
 //!   is what gets packaged into secondary subtransactions).
 
-use std::collections::HashMap;
-
 use repl_types::trace::{self, TraceEvent};
-use repl_types::{GlobalTxnId, ItemId, StorageError, TxnId, Value};
+use repl_types::{GlobalTxnId, IdMap, ItemId, StorageError, TxnId, Value};
 
 use crate::hash_index::HashIndex;
 use crate::lock::{LockManager, LockMode, LockOutcome};
-use crate::mvcc::VersionChains;
+use crate::mvcc::{Version, VersionChain};
 use crate::snapshot::{SnapshotId, SnapshotManager};
 use crate::undo::{UndoEntry, UndoLog};
 
@@ -33,6 +31,9 @@ struct Cell {
     writer: Option<GlobalTxnId>,
     /// Monotone per-copy version counter.
     version: u64,
+    /// Committed versions for snapshot reads; the newest is the value
+    /// as of the last commit that wrote the item.
+    committed: VersionChain,
 }
 
 /// Result of a transactional read.
@@ -79,22 +80,18 @@ pub struct CommitInfo {
 impl CommitInfo {
     /// The deduplicated write set: last value per item, in first-write
     /// order. This is what a secondary subtransaction carries.
+    ///
+    /// A linear scan of the items collected so far: transactions write a
+    /// handful of items, where this beats building a map.
     pub fn write_set(&self) -> Vec<(ItemId, Value)> {
-        let mut order: Vec<ItemId> = Vec::new();
-        let mut last: HashMap<ItemId, Value> = HashMap::new();
+        let mut set: Vec<(ItemId, Value)> = Vec::with_capacity(self.writes.len());
         for (item, value) in &self.writes {
-            if !last.contains_key(item) {
-                order.push(*item);
+            match set.iter_mut().find(|(i, _)| i == item) {
+                Some(slot) => slot.1 = value.clone(),
+                None => set.push((*item, value.clone())),
             }
-            last.insert(*item, value.clone());
         }
-        order
-            .into_iter()
-            .map(|i| {
-                let v = last.remove(&i).expect("recorded above");
-                (i, v)
-            })
-            .collect()
+        set
     }
 }
 
@@ -103,10 +100,11 @@ impl CommitInfo {
 pub struct Store {
     cells: HashIndex<Cell>,
     locks: LockManager,
-    txns: HashMap<TxnId, TxnState>,
+    txns: IdMap<TxnId, TxnState>,
     next_txn: u64,
-    /// Per-item committed version chains (MVCC snapshot reads).
-    mvcc: VersionChains,
+    /// Undo logs of finished transactions, emptied, kept for reuse so a
+    /// write does not allocate one afresh.
+    spare_undo: Vec<UndoLog>,
     /// Active read-only snapshots and the GC low-water mark.
     snapshots: SnapshotManager,
     /// Monotone commit timestamp, bumped by every writing commit.
@@ -122,8 +120,8 @@ impl Store {
     /// Install a copy of `item` with its initial value. Non-transactional;
     /// used during database population.
     pub fn create_item(&mut self, item: ItemId, value: Value) {
-        self.mvcc.seed(item, value.clone(), None);
-        self.cells.insert(item, Cell { value, writer: None, version: 0 });
+        let committed = VersionChain::seeded(value.clone(), None);
+        self.cells.insert(item, Cell { value, writer: None, version: 0, committed });
     }
 
     /// True if this site stores a copy (primary or secondary) of `item`.
@@ -164,7 +162,7 @@ impl Store {
             id,
             TxnState {
                 status: TxnStatus::Active,
-                undo: UndoLog::new(),
+                undo: self.spare_undo.pop().unwrap_or_default(),
                 reads: Vec::new(),
                 writes: Vec::new(),
                 writer: None,
@@ -188,9 +186,13 @@ impl Store {
         &mut self.locks
     }
 
-    fn check_active(&self, txn: TxnId) -> Result<(), StorageError> {
-        match self.txns.get(&txn) {
-            Some(s) if s.status == TxnStatus::Active => Ok(()),
+    /// The state of `txn` if it may still execute operations.
+    fn active_state(
+        txns: &mut IdMap<TxnId, TxnState>,
+        txn: TxnId,
+    ) -> Result<&mut TxnState, StorageError> {
+        match txns.get_mut(&txn) {
+            Some(s) if s.status == TxnStatus::Active => Ok(s),
             Some(_) => Err(StorageError::InvalidState(txn)),
             None => Err(StorageError::NoSuchTxn(txn)),
         }
@@ -201,16 +203,13 @@ impl Store {
     /// Returns [`StorageError::WouldBlock`] if the lock is unavailable; the
     /// request stays queued and the caller must retry after the grant.
     pub fn read(&mut self, txn: TxnId, item: ItemId) -> Result<ReadResult, StorageError> {
-        self.check_active(txn)?;
-        if !self.cells.contains(item) {
-            return Err(StorageError::NoSuchItem(item));
-        }
+        let state = Self::active_state(&mut self.txns, txn)?;
+        let cell = self.cells.get(item).ok_or(StorageError::NoSuchItem(item))?;
         match self.locks.request(txn, item, LockMode::Shared) {
             LockOutcome::Queued => Err(StorageError::WouldBlock(item)),
             LockOutcome::Granted => {
-                let cell = self.cells.get(item).expect("checked above");
                 let result = ReadResult { value: cell.value.clone(), writer: cell.writer };
-                self.txns.get_mut(&txn).expect("checked active").reads.push((item, result.writer));
+                state.reads.push((item, result.writer));
                 if trace::is_enabled() {
                     trace::record(TraceEvent::Access {
                         scope: self.locks.trace_scope(),
@@ -233,14 +232,11 @@ impl Store {
         value: Value,
         writer: GlobalTxnId,
     ) -> Result<(), StorageError> {
-        self.check_active(txn)?;
-        if !self.cells.contains(item) {
-            return Err(StorageError::NoSuchItem(item));
-        }
+        let state = Self::active_state(&mut self.txns, txn)?;
+        let cell = self.cells.get_mut(item).ok_or(StorageError::NoSuchItem(item))?;
         match self.locks.request(txn, item, LockMode::Exclusive) {
             LockOutcome::Queued => Err(StorageError::WouldBlock(item)),
             LockOutcome::Granted => {
-                let cell = self.cells.get_mut(item).expect("checked above");
                 let entry = UndoEntry {
                     item,
                     old_value: std::mem::replace(&mut cell.value, value.clone()),
@@ -248,7 +244,6 @@ impl Store {
                     old_version: cell.version,
                 };
                 cell.version += 1;
-                let state = self.txns.get_mut(&txn).expect("checked active");
                 state.undo.push(entry);
                 state.writes.push((item, value));
                 state.writer = Some(writer);
@@ -270,8 +265,7 @@ impl Store {
     /// (BackEdge protocol, §4.1: backedge subtransactions "do not commit
     /// and hold on to their locks").
     pub fn prepare(&mut self, txn: TxnId) -> Result<(), StorageError> {
-        self.check_active(txn)?;
-        self.txns.get_mut(&txn).expect("checked").status = TxnStatus::Prepared;
+        Self::active_state(&mut self.txns, txn)?.status = TxnStatus::Prepared;
         Ok(())
     }
 
@@ -281,24 +275,31 @@ impl Store {
     /// A writing commit additionally installs one new version per
     /// written item, stamped with a fresh site-local commit timestamp —
     /// the versions snapshot reads resolve against. While no snapshot is
-    /// open the chains are trimmed back to their newest version, so
-    /// pure-2PL workloads pay O(1) space per item.
+    /// open each chain keeps only its newest version, overwritten in
+    /// place, so pure-2PL workloads pay O(1) space per item.
     pub fn commit(&mut self, txn: TxnId) -> Result<(CommitInfo, Vec<TxnId>), StorageError> {
-        let state = self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
+        let TxnState { mut undo, reads, writes, writer, .. } =
+            self.txns.remove(&txn).ok_or(StorageError::NoSuchTxn(txn))?;
+        undo.clear();
+        self.spare_undo.push(undo);
         let granted = self.locks.release_all(txn);
-        let info = CommitInfo { reads: state.reads, writes: state.writes };
-        if !info.writes.is_empty() {
+        if !writes.is_empty() {
             self.commit_ts += 1;
             let ts = self.commit_ts;
             let trim = self.snapshots.active_count() == 0;
-            for (item, value) in info.write_set() {
-                self.mvcc.install(item, ts, value, state.writer);
-                if trim {
-                    self.mvcc.trim_to_latest(item);
+            for &(item, _) in &writes {
+                let cell = self.cells.get_mut(item).expect("written items exist");
+                // An item written more than once is installed once. The
+                // cell holds the transaction's last value for it: the X
+                // lock kept every other writer out until now.
+                if cell.committed.latest().is_some_and(|v| v.commit_ts == ts) {
+                    continue;
                 }
+                let version = Version { commit_ts: ts, value: cell.value.clone(), writer };
+                cell.committed.install(version, trim);
             }
         }
-        Ok((info, granted))
+        Ok((CommitInfo { reads, writes }, granted))
     }
 
     /// Abort `txn`: roll back its writes from the undo log, release all
@@ -324,6 +325,7 @@ impl Store {
                 });
             }
         }
+        self.spare_undo.push(state.undo);
         Ok(self.locks.release_all(txn))
     }
 
@@ -350,7 +352,9 @@ impl Store {
     pub fn end_snapshot(&mut self, snap: SnapshotId) {
         if self.snapshots.end(snap).is_some() {
             let low_water = self.snapshots.low_water(self.commit_ts);
-            self.mvcc.gc_below(low_water);
+            for cell in self.cells.values_mut() {
+                cell.committed.gc_below(low_water);
+            }
         }
     }
 
@@ -362,7 +366,7 @@ impl Store {
     /// Total versions retained across all chains (observability for GC
     /// tests and benches).
     pub fn version_count(&self) -> usize {
-        self.mvcc.total_versions()
+        self.cells.iter().map(|(_, c)| c.committed.len()).sum()
     }
 
     /// Lock-free snapshot read: the version of `item` visible at
@@ -378,7 +382,11 @@ impl Store {
         item: ItemId,
     ) -> Result<ReadResult, StorageError> {
         let ts = self.snapshots.ts_of(snap).ok_or(StorageError::NoSuchSnapshot(snap.0))?;
-        let version = self.mvcc.visible_at(item, ts).ok_or(StorageError::NoSuchItem(item))?;
+        let version = self
+            .cells
+            .get(item)
+            .and_then(|c| c.committed.visible_at(ts))
+            .ok_or(StorageError::NoSuchItem(item))?;
         if trace::is_enabled() {
             trace::record(TraceEvent::Access {
                 scope: self.trace_scope(),
@@ -552,6 +560,14 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_read_of_unknown_item_is_an_error() {
+        let mut s = store_with_items(1);
+        let snap = s.begin_snapshot();
+        assert_eq!(s.read_snapshot(snap, ItemId(9)), Err(StorageError::NoSuchItem(ItemId(9))));
+        s.end_snapshot(snap);
+    }
+
+    #[test]
     fn snapshot_ignores_uncommitted_and_aborted_writes() {
         let mut s = store_with_items(1);
         // An active writer holds the X lock...
@@ -637,6 +653,82 @@ mod tests {
             TraceEvent::Access { scope: sc, txn, write: false, .. }
                 if sc == scope && txn == trace::NO_TXN
         )));
+    }
+
+    mod commit_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const ITEMS: u32 = 5;
+
+        /// The write set by definition: each item once, in the order of
+        /// its first write, with the value of its last write.
+        fn reference_write_set(writes: &[(ItemId, Value)]) -> Vec<(ItemId, Value)> {
+            let mut order: Vec<ItemId> = Vec::new();
+            for (item, _) in writes {
+                if !order.contains(item) {
+                    order.push(*item);
+                }
+            }
+            order
+                .into_iter()
+                .map(|item| {
+                    let last = writes.iter().rev().find(|(i, _)| *i == item).expect("written");
+                    (item, last.1.clone())
+                })
+                .collect()
+        }
+
+        proptest! {
+            #[test]
+            fn write_set_matches_its_definition(
+                raw in prop::collection::vec((0u32..ITEMS, 0i64..100), 0..40),
+            ) {
+                let writes: Vec<(ItemId, Value)> =
+                    raw.into_iter().map(|(i, v)| (ItemId(i), Value::int(v))).collect();
+                let expected = reference_write_set(&writes);
+                let info = CommitInfo { reads: Vec::new(), writes };
+                prop_assert_eq!(info.write_set(), expected);
+            }
+
+            /// With no snapshot open every item keeps exactly one version,
+            /// whatever mix of commits and aborts ran; a snapshot opened
+            /// afterwards reads each item's last committed value and writer.
+            #[test]
+            fn without_snapshots_each_item_keeps_one_version(
+                script in prop::collection::vec(
+                    (prop::collection::vec((0u32..ITEMS, 0i64..1000), 1..5), prop::bool::ANY),
+                    1..30,
+                ),
+            ) {
+                let mut s = store_with_items(ITEMS);
+                let mut model: Vec<(Value, Option<GlobalTxnId>)> =
+                    vec![(Value::Initial, None); ITEMS as usize];
+                for (n, (writes, commits)) in script.iter().enumerate() {
+                    let w = gid(n as u64 + 1);
+                    let t = s.begin();
+                    for (item, v) in writes {
+                        s.write(t, ItemId(*item), Value::int(*v), w).unwrap();
+                    }
+                    if *commits {
+                        s.commit(t).unwrap();
+                        for (item, v) in writes {
+                            model[*item as usize] = (Value::int(*v), Some(w));
+                        }
+                    } else {
+                        s.abort(t).unwrap();
+                    }
+                    prop_assert_eq!(s.version_count(), s.item_count());
+                }
+                let snap = s.begin_snapshot();
+                for (item, (value, writer)) in model.iter().enumerate() {
+                    let r = s.read_snapshot(snap, ItemId(item as u32)).unwrap();
+                    prop_assert_eq!(&r.value, value);
+                    prop_assert_eq!(&r.writer, writer);
+                }
+                s.end_snapshot(snap);
+            }
+        }
     }
 
     mod snapshot_props {

@@ -48,6 +48,11 @@ impl UndoLog {
         self.entries.is_empty()
     }
 
+    /// Forget every entry, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Drain the entries in reverse (rollback) order.
     pub fn drain_rollback(&mut self) -> impl Iterator<Item = UndoEntry> + '_ {
         self.entries.drain(..).rev()

@@ -14,6 +14,7 @@
 
 pub mod error;
 pub mod id;
+pub mod idhash;
 pub mod netaddr;
 pub mod op;
 pub mod trace;
@@ -21,6 +22,7 @@ pub mod value;
 
 pub use error::{StorageError, TxnError};
 pub use id::{GlobalTxnId, ItemId, SiteId, ThreadId, TxnId};
+pub use idhash::{IdHasher, IdMap};
 pub use netaddr::AddressMap;
 pub use op::{Op, OpKind};
 pub use value::Value;
